@@ -20,6 +20,12 @@ from repro.kafka.producer import Producer
 from benchmarks.conftest import print_table
 
 N_MESSAGES = 10_000
+# Runs per (acks, batch) configuration; the sweep keeps the fastest
+# produce and consume wall of each, so one descheduled run cannot trip
+# the floors or the acks ratio below.  Repeats go round the whole sweep
+# rather than back to back, so a burst of host load lasting a few runs
+# slows at most one run of each configuration.
+REPEATS = 3
 
 
 def produce_consume(acks: str, batch_size: int) -> tuple[float, float]:
@@ -43,11 +49,22 @@ def produce_consume(acks: str, batch_size: int) -> tuple[float, float]:
 
 
 def run_sweep():
-    results = {}
-    for acks in ("1", "all"):
-        for batch_size in (1024, 16_384, 131_072):
-            results[(acks, batch_size)] = produce_consume(acks, batch_size)
-    return results
+    configs = [
+        (acks, batch_size)
+        for acks in ("1", "all")
+        for batch_size in (1024, 16_384, 131_072)
+    ]
+    runs = {config: [] for config in configs}
+    for __ in range(REPEATS):
+        for config in configs:
+            runs[config].append(produce_consume(*config))
+    return {
+        config: (
+            min(produce for produce, __ in walls),
+            min(consume for __, consume in walls),
+        )
+        for config, walls in runs.items()
+    }
 
 
 def test_kafka_substrate_throughput(benchmark):
@@ -61,7 +78,8 @@ def test_kafka_substrate_throughput(benchmark):
             f"{N_MESSAGES / consume_wall:,.0f}",
         ])
     print_table(
-        f"C15: substrate throughput, {N_MESSAGES} messages (msg/s wall)",
+        f"C15: substrate throughput, {N_MESSAGES} messages, "
+        f"best of {REPEATS} (msg/s wall)",
         ["acks", "batch bytes", "produce msg/s", "consume msg/s"],
         rows,
     )

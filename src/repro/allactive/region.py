@@ -13,12 +13,11 @@ jobs compute convergent state (Figure 6).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.common.clock import Clock, SimulatedClock
 from repro.common.errors import RegionError
 from repro.kafka.cluster import KafkaCluster, TopicConfig
-from repro.kafka.consumer import GroupCoordinator
 from repro.kafka.producer import Producer
 from repro.kafka.ureplicator import OffsetMappingStore, UReplicator
 
@@ -29,12 +28,6 @@ class Region:
     regional: KafkaCluster
     aggregate: KafkaCluster
     healthy: bool = True
-    coordinators: dict[str, GroupCoordinator] = field(default_factory=dict)
-
-    def aggregate_coordinator(self) -> GroupCoordinator:
-        if "aggregate" not in self.coordinators:
-            self.coordinators["aggregate"] = GroupCoordinator(self.aggregate)
-        return self.coordinators["aggregate"]
 
 
 class MultiRegionDeployment:
@@ -128,17 +121,6 @@ class MultiRegionDeployment:
             if copied == 0:
                 return total
         raise RegionError(f"replication did not converge in {max_steps} steps")
-
-    def replicators_between(
-        self, src_region: str, dst_region: str, topic: str
-    ) -> list[UReplicator]:
-        src = self.region(src_region).regional
-        dst = self.region(dst_region).aggregate
-        return [
-            r
-            for r in self._replicators
-            if r.source is src and r.destination is dst and r.topic == topic
-        ]
 
     def fail_region(self, name: str) -> None:
         self.region(name).healthy = False

@@ -63,13 +63,6 @@ class ReplicatedKV:
         versioned = self._stores[region].get(key)
         return versioned.value if versioned is not None else default
 
-    def get_with_timestamp(self, region: str, key: Any):
-        self._check_region(region)
-        versioned = self._stores[region].get(key)
-        if versioned is None:
-            return None
-        return versioned.value, versioned.timestamp
-
     def keys(self, region: str) -> list[Any]:
         self._check_region(region)
         return sorted(self._stores[region], key=str)

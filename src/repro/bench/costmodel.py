@@ -30,7 +30,6 @@ COST_US: dict[str, float] = {
     "kafka.partition_resolutions": 1.2,  # pstate + leader/follower lookup
     "kafka.entry_allocs": 0.4,  # LogEntry construction
     "kafka.size_encodings": 3.0,  # serde encode for byte accounting
-    "kafka.send_encodings": 2.5,  # legacy: producer value sizing (pre single-encode)
     "kafka.key_hashes": 2.0,  # FNV-1a over the serialized key
     "kafka.fetch_calls": 1.0,
     "kafka.records_fetched": 0.15,  # per entry returned (list slice share)
@@ -94,7 +93,6 @@ COST_US: dict[str, float] = {
     # -- flink ---------------------------------------------------------------
     "flink.elements": 0.5,  # scheduler dequeue + dispatch
     "flink.batch_elements": 0.2,  # micro-batched dequeue + dispatch
-    "flink.route_resolutions": 0.8,  # legacy: per-record downstream graph lookup
     "flink.cached_routes": 0.2,  # routing via pre-resolved channel wiring
     "flink.channel_pushes": 0.15,
     "flink.space_channel_checks": 0.2,  # backpressure probe per channel

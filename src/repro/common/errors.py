@@ -75,10 +75,6 @@ class NotEnoughReplicasError(KafkaError):
     """acks=all produce cannot be satisfied by the live replica set."""
 
 
-class RebalanceInProgressError(KafkaError):
-    """Consumer group operation attempted during a rebalance."""
-
-
 class QuotaExceededError(KafkaError):
     """Producer exceeded its provisioned byte quota (self-serve limits)."""
 

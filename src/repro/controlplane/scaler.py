@@ -30,7 +30,7 @@ identical log.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.common.metrics import MetricsRegistry

@@ -86,9 +86,6 @@ class JobGraph:
     operators: dict[str, OperatorSpec]
     edges: list[Edge]
 
-    def upstream_of(self, op_id: str) -> list[Edge]:
-        return [e for e in self.edges if e.dst == op_id]
-
     def downstream_of(self, op_id: str) -> list[Edge]:
         return [e for e in self.edges if e.src == op_id]
 

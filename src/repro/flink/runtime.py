@@ -402,9 +402,9 @@ class SubTask:
                     # Micro-batch: drain a run of consecutive data records
                     # from this channel under a single backpressure probe.
                     # Control elements (watermarks, barriers, status) are
-                    # never part of a run, so alignment and watermark
-                    # propagation behave exactly as in the singly-stepped
-                    # path.
+                    # never part of a run; they go one at a time through
+                    # _handle, so alignment and watermark propagation see
+                    # them in queue order.
                     limit = min(budget - processed, MICRO_BATCH)
                     run = [queue.popleft()]
                     while len(run) < limit and queue and isinstance(
@@ -480,17 +480,7 @@ class SubTask:
     def _handle(self, element: Any, channel: InputChannel) -> None:
         if PERF.enabled:
             PERF.inc("flink.elements")
-        if isinstance(element, StreamRecord):
-            self.records_processed += 1
-            if self.spec.kind == "sink":
-                if self.spec.transactional:
-                    self._txn_open.append(element)
-                else:
-                    self._write_to_sink(element)
-            else:
-                assert self.operator is not None
-                self.emit(self.operator.process(element, channel.input_index))
-        elif isinstance(element, Watermark):
+        if isinstance(element, Watermark):
             channel.idle = False
             channel.last_watermark = max(channel.last_watermark, element.timestamp)
             self._maybe_advance_watermark()

@@ -70,10 +70,6 @@ class SelfServeAdmin:
         if quota is not None:
             quota.charge(nbytes)
 
-    def reset_quota_window(self) -> None:
-        for quota in self.quotas.values():
-            quota.reset()
-
     def maybe_expand(self, topic: str) -> int:
         """Double a topic's partition count when usage crosses the
         expansion threshold of its quota.

@@ -86,10 +86,6 @@ class Chaperone:
     def stages(self) -> list[str]:
         return sorted(self._stats)
 
-    def window_counts(self, stage: str) -> dict[float, int]:
-        """Unique-message counts per window for one stage."""
-        return {w: s.total for w, s in self._stats.get(stage, {}).items()}
-
     def compare(self, upstream: str, downstream: str) -> list[AuditAlert]:
         """Alerts for every window where downstream lost or duplicated data."""
         up = self._stats.get(upstream, {})

@@ -68,6 +68,3 @@ class SchemaRegistry:
 
     def versions(self, subject: str) -> int:
         return len(self._versions.get(subject, []))
-
-    def has_subject(self, subject: str) -> bool:
-        return subject in self._versions

@@ -95,7 +95,8 @@ _SCALAR_CELL_TYPES = (str, int, float, bool, bytes, type(None))
 
 
 def _copy_rows(rows: list[dict[str, Any]]) -> list[dict[str, Any]]:
-    """Rows crossing the cache boundary, isolated from caller mutation.
+    """Rows crossing a cache boundary (broker results, Presto stage
+    artifacts), isolated from caller mutation.
 
     A shallow ``dict(row)`` shares cell objects; that is only safe when
     every cell is an immutable scalar.  Rows with mutable cells (a
@@ -150,27 +151,28 @@ class BrokerResultCache:
 
     def __init__(self, capacity_per_table: int = 128) -> None:
         self.capacity_per_table = capacity_per_table
-        self._tables: dict[str, OrderedDict[tuple, tuple[int, list[dict]]]] = {}
+        # Entry: (epoch, (rows, pages, plans)) as stored by the broker.
+        self._tables: dict[str, OrderedDict[tuple, tuple[int, tuple]]] = {}
         self.invalidations = 0
 
-    def get(self, table: str, key: tuple, epoch: int) -> list[dict] | None:
+    def get(self, table: str, key: tuple, epoch: int) -> tuple | None:
         entries = self._tables.get(table)
         if entries is None:
             return None
         entry = entries.get(key)
         if entry is None:
             return None
-        cached_epoch, rows = entry
+        cached_epoch, result = entry
         if cached_epoch != epoch:
             del entries[key]
             self.invalidations += 1
             return None
         entries.move_to_end(key)
-        return rows
+        return result
 
-    def put(self, table: str, key: tuple, epoch: int, rows: list[dict]) -> None:
+    def put(self, table: str, key: tuple, epoch: int, result: tuple) -> None:
         entries = self._tables.setdefault(table, OrderedDict())
-        entries[key] = (epoch, rows)
+        entries[key] = (epoch, result)
         entries.move_to_end(key)
         while len(entries) > self.capacity_per_table:
             entries.popitem(last=False)
@@ -251,17 +253,16 @@ class PinotBroker:
         result.segments_scanned = scanned
         result.segments_pruned = pruned
         if cache_key is not None:
-            if result.pages is not None:
-                # Pages are immutable views: cache (and later serve) them
-                # zero-copy, no row isolation needed.
-                self.cache.put(
-                    query.table, cache_key, epoch, ("pages", tuple(result.pages))
-                )
-            else:
-                # Store a private copy: callers may mutate the returned rows.
-                self.cache.put(
-                    query.table, cache_key, epoch, _copy_rows(result.rows)
-                )
+            # Rows get a private copy (callers may mutate them); pages are
+            # immutable views, cached and served zero-copy.  The plans ride
+            # along so a hit reports the work that produced its result.
+            pages = None if result.pages is None else tuple(result.pages)
+            self.cache.put(
+                query.table,
+                cache_key,
+                epoch,
+                (_copy_rows(result.rows), pages, tuple(result.plans)),
+            )
         if self.tracer is not None:
             self.tracer.record_table_query(
                 query.table,
@@ -305,25 +306,23 @@ class PinotBroker:
         return docs, not filters
 
     def _serve_cached(
-        self, query: PinotQuery, cached, start: float
+        self, query: PinotQuery, cached: tuple, start: float
     ) -> QueryResult:
         self.metrics.counter("queries").inc()
         self.metrics.counter("cache_hits").inc()
-        if (
-            isinstance(cached, tuple)
-            and len(cached) == 2
-            and cached[0] == "pages"
-        ):
-            pages = list(cached[1])
-            if PERF.enabled:
-                PERF.inc("pinot.cache_hits")
+        rows, pages, plans = cached
+        if PERF.enabled:
+            PERF.inc("pinot.cache_hits")
+            if pages is None:
+                PERF.inc("pinot.cache_row_copies", len(rows))
+            else:
                 PERF.inc("columnar.batch_serves", len(pages))
-            result = QueryResult(rows=[], pages=pages, cache_hit=True)
-        else:
-            if PERF.enabled:
-                PERF.inc("pinot.cache_hits")
-                PERF.inc("pinot.cache_row_copies", len(cached))
-            result = QueryResult(rows=_copy_rows(cached), cache_hit=True)
+        result = QueryResult(
+            rows=_copy_rows(rows),
+            plans=list(plans),
+            pages=None if pages is None else list(pages),
+            cache_hit=True,
+        )
         if self.tracer is not None:
             self.tracer.record_table_query(
                 query.table,

@@ -116,8 +116,3 @@ class DimensionTableRegistry:
         if name not in self._tables:
             raise PinotError(f"no dimension table {name!r}")
         return self._tables[name]
-
-    def load_from_hive(self, name: str, primary_key: str, hive_table) -> DimensionTable:
-        table = self.create(name, primary_key)
-        table.load(list(hive_table.scan()))
-        return table

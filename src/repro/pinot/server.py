@@ -95,10 +95,3 @@ class PinotServer:
             )
             self.metrics.counter("subqueries").inc()
         return partials
-
-    def hosted_disk_bytes(self) -> int:
-        return sum(
-            s.disk_bytes()
-            for s in self.segments.values()
-            if isinstance(s, ImmutableSegment)
-        )

@@ -41,7 +41,6 @@ from repro.sql.planner.logical import (
     JoinNode,
     LimitNode,
     ProjectNode,
-    ScanNode,
     SortNode,
     SubqueryNode,
 )
@@ -116,17 +115,13 @@ def _reattach(shaper, source):
 
 
 def _optimize_single_scan(scan, shaper, where_node, sort_node, limit_node, catalog):
-    from repro.sql.presto.connector import (
-        ScanRequest,
-        connector_estimate,
-        resolve_capabilities,
-    )
+    from repro.sql.presto.connector import ScanRequest
 
     connector = catalog[scan.table]
-    caps = resolve_capabilities(connector)
+    caps = connector.capabilities()
     where_cond = where_node.condition if where_node else None
     pushable, residual = split_conjuncts(where_cond)
-    if "predicate" in caps and pushable:
+    if caps.predicate and pushable:
         scan = replace(scan, filters=tuple(pushable))
         where_cond = residual
     else:
@@ -135,7 +130,7 @@ def _optimize_single_scan(scan, shaper, where_node, sort_node, limit_node, catal
     # Aggregation pushdown: the whole GROUP BY block moves to the source.
     can_push_agg = (
         isinstance(shaper, AggregateNode)
-        and "aggregation" in caps
+        and caps.aggregation
         and shaper.aggs
         and where_cond is None
         and shaper.simple
@@ -158,7 +153,7 @@ def _optimize_single_scan(scan, shaper, where_node, sort_node, limit_node, catal
         shaper = replace(shaper, pushed=True)
 
     # Projection pushdown.
-    if "projection" in caps:
+    if caps.projection:
         needed = _needed_columns(shaper, where_cond, sort_node)
         if needed is not None:
             scan = replace(scan, columns=tuple(needed))
@@ -171,15 +166,14 @@ def _optimize_single_scan(scan, shaper, where_node, sort_node, limit_node, catal
         and isinstance(shaper, ProjectNode)
         and where_cond is None
         and sort_node is None
-        and "limit" in caps
+        and caps.limit
     ):
         scan = replace(scan, limit=limit_node.n)
 
     scan = replace(
         scan,
-        estimate=connector_estimate(
-            connector,
-            ScanRequest(table=scan.table, filters=[to_pushed(c) for c in scan.filters]),
+        estimate=connector.estimate(
+            ScanRequest(table=scan.table, filters=[to_pushed(c) for c in scan.filters])
         ),
     )
     if where_cond is not None:
@@ -217,12 +211,7 @@ def _needed_columns(shaper, where_cond, sort_node):
 
 
 def _optimize_join(join, shaper, where_node, sort_node, catalog):
-    from repro.sql.presto.connector import (
-        UNKNOWN_CARDINALITY,
-        ScanRequest,
-        connector_estimate,
-        resolve_capabilities,
-    )
+    from repro.sql.presto.connector import UNKNOWN_CARDINALITY, ScanRequest
 
     where_cond = where_node.condition if where_node else None
     pushable, __ = split_conjuncts(where_cond)
@@ -232,7 +221,7 @@ def _optimize_join(join, shaper, where_node, sort_node, catalog):
         if isinstance(side, SubqueryNode):
             return SubqueryNode(_optimize_block(side.plan, catalog), side.alias), None
         connector = catalog[side.table]
-        caps = resolve_capabilities(connector)
+        caps = connector.capabilities()
         # Only predicates explicitly scoped to this alias go down with
         # this scan; the full WHERE still runs engine-side afterwards.
         mine = (
@@ -241,19 +230,18 @@ def _optimize_join(join, shaper, where_node, sort_node, catalog):
                 for c in pushable
                 if isinstance(c.left, Column) and c.left.table == alias
             ]
-            if "predicate" in caps
+            if caps.predicate
             else []
         )
         scan = replace(side, filters=tuple(mine))
         if (
             pruned_columns is not None
-            and "projection" in caps
+            and caps.projection
             and alias in pruned_columns
         ):
             scan = replace(scan, columns=tuple(sorted(pruned_columns[alias])))
-        estimate = connector_estimate(
-            connector,
-            ScanRequest(table=scan.table, filters=[to_pushed(c) for c in mine]),
+        estimate = connector.estimate(
+            ScanRequest(table=scan.table, filters=[to_pushed(c) for c in mine])
         )
         return replace(scan, estimate=estimate), estimate
 

@@ -28,7 +28,6 @@ reordering is therefore invisible in the output, byte for byte.
 
 from __future__ import annotations
 
-import copy
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Any
@@ -37,6 +36,7 @@ from repro.columnar import pages_to_rows
 from repro.common import hashring
 from repro.common.errors import SqlPlanError
 from repro.common.perf import PERF
+from repro.pinot.broker import _copy_rows
 from repro.sql.planner.physical import PhysicalPlan, Stage
 from repro.sql.planner.rowops import (
     aggregate_rows,
@@ -47,20 +47,6 @@ from repro.sql.planner.rowops import (
     to_pushed,
     to_pushed_agg,
 )
-
-_SCALAR_CELL_TYPES = (str, int, float, bool, bytes, type(None))
-
-
-def _copy_rows(rows: list[dict[str, Any]]) -> list[dict[str, Any]]:
-    """Isolate rows crossing the artifact boundary from caller mutation
-    (same discipline as the broker result cache)."""
-    return [
-        dict(row)
-        if all(isinstance(v, _SCALAR_CELL_TYPES) for v in row.values())
-        else copy.deepcopy(row)
-        for row in rows
-    ]
-
 
 @dataclass
 class Evidence:
@@ -498,7 +484,7 @@ class StageScheduler:
             ),
             group_by=list(node.group_by) if node.group_by is not None else None,
             limit=node.limit,
-            columnar=getattr(capabilities, "columnar", False),
+            columnar=capabilities.columnar,
         )
         evidence = Evidence()
         result = connector.scan(request)

@@ -15,7 +15,6 @@ measure each stage (bench C10).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Protocol
 
@@ -24,27 +23,15 @@ from repro.pinot.broker import PinotBroker
 from repro.pinot.query import Aggregation, Filter, PinotQuery
 from repro.storage.hive import HiveMetastore
 
-_CAPABILITY_FLAGS = ("predicate", "projection", "aggregation", "limit")
-
-# Default aggregate vocabulary for connectors migrated from the legacy
-# set[str] capability form (matches what the engine can evaluate itself).
-_DEFAULT_AGG_FUNCS = frozenset(
-    {"COUNT", "SUM", "AVG", "MIN", "MAX", "DISTINCTCOUNT"}
-)
-
-# Cardinality assigned to sources that cannot estimate at all: large, so
-# the join reorderer builds hash tables from anything it *can* cost first.
+# Cardinality assigned to join sides that cannot be estimated (subqueries):
+# large, so the join reorderer builds hash tables from anything it *can*
+# cost first.
 UNKNOWN_CARDINALITY = 10**9
 
 
 @dataclass(frozen=True)
 class ConnectorCapabilities:
-    """Typed pushdown contract a connector advertises to the planner.
-
-    Replaces the old ``capabilities() -> set[str]`` form.  ``in`` checks
-    against capability names still work (``"predicate" in caps``), so
-    call sites written against the string-set API keep reading naturally.
-    """
+    """Typed pushdown contract a connector advertises to the planner."""
 
     predicate: bool = False
     projection: bool = False
@@ -59,31 +46,6 @@ class ConnectorCapabilities:
     # the engine's batch↔row adapter keeps them working unchanged.
     columnar: bool = False
 
-    def __contains__(self, capability: str) -> bool:
-        return capability in _CAPABILITY_FLAGS and bool(getattr(self, capability))
-
-    def to_set(self) -> set[str]:
-        return {flag for flag in _CAPABILITY_FLAGS if getattr(self, flag)}
-
-    @classmethod
-    def from_set(
-        cls, caps: set[str], agg_functions: frozenset[str] | None = None
-    ) -> "ConnectorCapabilities":
-        unknown = set(caps) - set(_CAPABILITY_FLAGS)
-        if unknown:
-            raise SqlPlanError(f"unknown connector capabilities {sorted(unknown)!r}")
-        return cls(
-            predicate="predicate" in caps,
-            projection="projection" in caps,
-            aggregation="aggregation" in caps,
-            limit="limit" in caps,
-            agg_functions=(
-                agg_functions
-                if agg_functions is not None
-                else (_DEFAULT_AGG_FUNCS if "aggregation" in caps else frozenset())
-            ),
-        )
-
 
 @dataclass(frozen=True)
 class CardinalityEstimate:
@@ -94,43 +56,11 @@ class CardinalityEstimate:
     source: str = "unknown"  # provenance annotation for explain()
 
 
-def resolve_capabilities(connector) -> ConnectorCapabilities:
-    """Capabilities of ``connector``, accepting the deprecated set form."""
-    caps = connector.capabilities()
-    if isinstance(caps, ConnectorCapabilities):
-        return caps
-    if isinstance(caps, (set, frozenset)):
-        warnings.warn(
-            f"connector {getattr(connector, 'name', connector)!r} returned "
-            "capabilities() as set[str]; return ConnectorCapabilities instead "
-            "(the set form is deprecated)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return ConnectorCapabilities.from_set(caps)
-    raise SqlPlanError(
-        f"connector capabilities must be ConnectorCapabilities or set[str], "
-        f"got {type(caps).__name__}"
-    )
-
-
-def connector_estimate(connector, request: "ScanRequest") -> CardinalityEstimate:
-    """Estimate via the connector, tolerating legacy connectors without
-    ``estimate()`` (they plan as unknown-cardinality sources)."""
-    estimate = getattr(connector, "estimate", None)
-    if estimate is None:
-        return CardinalityEstimate(UNKNOWN_CARDINALITY, False, "unknown")
-    return estimate(request)
-
-
 def connector_epoch(connector, table: str) -> int | None:
     """Freshness epoch of ``table``, or None when the connector cannot
-    version its data (stages over such tables are never artifact-cached)."""
-    table_epoch = getattr(connector, "table_epoch", None)
-    if table_epoch is None:
-        return None
+    report one (stages over such tables are never artifact-cached)."""
     try:
-        return table_epoch(table)
+        return connector.table_epoch(table)
     except Exception:
         return None
 
@@ -208,9 +138,7 @@ class Connector(Protocol):
     name: str
 
     def capabilities(self) -> ConnectorCapabilities:
-        """What this connector can push down.  (Legacy connectors may
-        still return a set[str]; the planner resolves it through
-        :func:`resolve_capabilities` with a DeprecationWarning.)"""
+        """What this connector can push down."""
         ...
 
     def scan(self, request: ScanRequest) -> ScanResult: ...
@@ -272,12 +200,12 @@ class PinotConnector:
         caps = self.capabilities()
         filters = (
             [self._to_pinot_filter(f) for f in request.filters]
-            if "predicate" in caps
+            if caps.predicate
             else []
         )
         if (
             request.aggregations is not None
-            and "aggregation" in caps
+            and caps.aggregation
             and all(a.func in _PINOT_FUNCS for a in request.aggregations)
         ):
             query = PinotQuery(
@@ -304,8 +232,8 @@ class PinotConnector:
                 segments_pruned=result.segments_pruned,
                 cache_hit=result.cache_hit,
             )
-        columns = request.columns if "projection" in caps else None
-        limit = request.limit if "limit" in caps and not request.aggregations else None
+        columns = request.columns if caps.projection else None
+        limit = request.limit if caps.limit and not request.aggregations else None
         query = PinotQuery(
             table=request.table,
             select_columns=list(columns or []),

@@ -175,8 +175,5 @@ class HiveMetastore:
             raise TableNotFoundError(f"Hive table {name!r} does not exist")
         return self._tables[name]
 
-    def has_table(self, name: str) -> bool:
-        return name in self._tables
-
     def tables(self) -> list[str]:
         return sorted(self._tables)

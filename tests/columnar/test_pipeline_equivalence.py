@@ -22,7 +22,7 @@ from repro.kafka.producer import Producer
 from repro.metadata.schema import Field, FieldRole, FieldType, Schema
 from repro.pinot.broker import PinotBroker
 from repro.pinot.controller import PinotController
-from repro.pinot.query import PinotQuery
+from repro.pinot.query import Filter, PinotQuery
 from repro.pinot.recovery import PeerToPeerBackup
 from repro.pinot.server import PinotServer
 from repro.pinot.table import TableConfig
@@ -231,6 +231,20 @@ class TestBrokerPages:
         assert [p.to_rows() for p in again.pages] == [
             p.to_rows() for p in first.pages
         ]
+
+    def test_pages_hit_reports_docs_examined_of_the_filling_miss(self):
+        clock, broker = build_pinot(columnar_transport=True)
+        query = PinotQuery(
+            table="metrics",
+            select_columns=["city", "amount"],
+            filters=[Filter("amount", ">=", 50.0)],
+            limit=0,
+        )
+        miss = broker.execute(query, columnar=True)
+        hit = broker.execute(query, columnar=True)
+        assert miss.pages and hit.cache_hit and hit.pages
+        assert miss.docs_examined() > 0
+        assert hit.docs_examined() == miss.docs_examined()
 
     def test_columnar_and_row_results_share_no_cache_entry(self):
         clock, broker = build_pinot(columnar_transport=True)

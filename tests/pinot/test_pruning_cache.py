@@ -431,6 +431,14 @@ class TestResultCache:
         assert serde.encode(first.rows) == serde.encode(second.rows)
         assert broker.metrics.counter("cache_hits").value == 1
 
+    def test_hit_reports_docs_examined_of_the_filling_miss(self):
+        clock, kafka, controller, state = self.loaded_stack()
+        broker = self.make_broker(controller, clock)
+        miss = broker.execute(self.QUERY)
+        hit = broker.execute(self.QUERY)
+        assert hit.cache_hit and miss.docs_examined() > 0
+        assert hit.docs_examined() == miss.docs_examined()
+
     def test_cached_rows_are_isolated_copies(self):
         clock, kafka, controller, state = self.loaded_stack()
         broker = self.make_broker(controller, clock)

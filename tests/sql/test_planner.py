@@ -2,8 +2,6 @@
 pushdown correctness (including the projection-retention regressions),
 join reordering, and the epoch-keyed stage artifact store."""
 
-import warnings
-
 import pytest
 
 from repro.common.clock import SimulatedClock
@@ -21,12 +19,10 @@ from repro.platform import Platform
 from repro.sql.planner.reference import ReferenceExecutor
 from repro.sql.presto.connector import (
     CardinalityEstimate,
-    ConnectorCapabilities,
     HiveConnector,
     MemoryConnector,
     PinotConnector,
     ScanRequest,
-    resolve_capabilities,
 )
 from repro.sql.presto.engine import PrestoEngine
 from repro.storage.blobstore import BlobStore
@@ -122,60 +118,6 @@ def build_pinot(rows_count=300, threshold=100):
 
 
 class TestTypedCapabilities:
-    def test_contains_and_roundtrip(self):
-        caps = ConnectorCapabilities(predicate=True, projection=True)
-        assert "predicate" in caps and "projection" in caps
-        assert "aggregation" not in caps and "nonsense" not in caps
-        assert caps.to_set() == {"predicate", "projection"}
-        assert ConnectorCapabilities.from_set(caps.to_set()) == caps
-
-    def test_from_set_rejects_unknown_flags(self):
-        with pytest.raises(SqlPlanError):
-            ConnectorCapabilities.from_set({"predicate", "teleport"})
-
-    def test_legacy_set_connector_warns_but_still_plans(self):
-        class LegacyConnector:
-            name = "legacy"
-
-            def __init__(self):
-                self.inner = MemoryConnector({"t": ROWS})
-
-            def capabilities(self):
-                return {"predicate"}  # deprecated form
-
-            def scan(self, request):
-                result = self.inner.scan(request)
-                if request.filters:
-                    # Legacy connector honors predicates itself.
-                    from repro.sql.presto.connector import _compound_predicate
-
-                    predicate = _compound_predicate(request.filters)
-                    result.rows = [r for r in result.rows if predicate(r)]
-                    result.filters_applied = True
-                return result
-
-        engine = PrestoEngine({"t": LegacyConnector()})
-        with pytest.warns(DeprecationWarning):
-            out = engine.execute("SELECT city FROM t WHERE amount >= 28")
-        assert out.rows == [{"city": "city-1"}, {"city": "city-2"}]
-        assert out.stats.pushed_filters == 1
-
-    def test_connector_without_estimate_plans_as_unknown(self):
-        class NoEstimate:
-            name = "bare"
-
-            def capabilities(self):
-                return ConnectorCapabilities()
-
-            def scan(self, request):
-                return MemoryConnector({"t": ROWS}).scan(
-                    ScanRequest(table="t")
-                )
-
-        engine = PrestoEngine({"t": NoEstimate()})
-        out = engine.execute("SELECT COUNT(*) AS n FROM t")
-        assert out.rows == [{"n": 30}]
-
     def test_connector_estimates(self):
         memory = MemoryConnector({"t": ROWS})
         exact = memory.estimate(ScanRequest(table="t"))
@@ -192,16 +134,6 @@ class TestTypedCapabilities:
         assert memory.table_epoch("t") == before + 1
         with pytest.raises(SqlPlanError):
             memory.table_epoch("missing")
-
-    def test_resolve_rejects_garbage(self):
-        class Bad:
-            name = "bad"
-
-            def capabilities(self):
-                return ["predicate"]
-
-        with pytest.raises(SqlPlanError):
-            resolve_capabilities(Bad())
 
 
 def _pf(column, op, value):
@@ -431,6 +363,21 @@ class TestStageArtifacts:
         assert first.rows == second.rows
         assert second.stats.stage_artifact_hits == 0
         assert second.stats.stages_executed == first.stats.stages_executed
+
+    def test_broker_cache_hit_reports_source_rows_examined(self):
+        __, __, __, broker = build_pinot()
+        engine = PrestoEngine(
+            {"metrics": PinotConnector(broker, "full")}, artifact_reuse=False
+        )
+        for sql in (
+            "SELECT city, SUM(amount) AS total FROM metrics GROUP BY city",
+            "SELECT city, amount FROM metrics WHERE amount >= 50",
+        ):
+            miss = engine.execute(sql)
+            hit = engine.execute(sql)
+            assert miss.stats.cache_hits == 0 and hit.stats.cache_hits == 1
+            assert miss.stats.source_rows_examined > 0
+            assert hit.stats.source_rows_examined == miss.stats.source_rows_examined
 
     def test_served_rows_are_isolated_from_caller_mutation(self):
         engine = PrestoEngine(memory_catalog())
