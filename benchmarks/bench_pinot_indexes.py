@@ -22,6 +22,10 @@ from benchmarks.conftest import order_rows, print_table
 
 N_ROWS = 30_000
 REPEATS = 20
+# Rounds over the whole ladder; each configuration keeps its fastest
+# round, so a burst of host load lasting a few queries slows at most one
+# timing of each configuration and cannot trip the ratios below.
+ROUNDS = 3
 
 FILTER_QUERY = PinotQuery(
     "t",
@@ -73,28 +77,37 @@ def _timed(fn) -> tuple[float, object]:
 
 def run_comparison():
     plain, indexed, startree_segment, scanstore = build()
-    out = {}
-    out["druid-like scan"] = _timed(lambda: scanstore.execute(FILTER_QUERY))[0], N_ROWS
-    lat, partial = _timed(lambda: execute_on_segment(plain, FILTER_QUERY))
-    out["pinot no index"] = lat, partial.plan.docs_examined
-    lat, partial = _timed(lambda: execute_on_segment(indexed, FILTER_QUERY))
-    out["pinot inverted"] = lat, partial.plan.docs_examined
-    lat, partial = _timed(lambda: execute_on_segment(startree_segment, FILTER_QUERY))
-    assert partial.plan.used_startree
-    out["pinot star-tree"] = lat, partial.plan.docs_examined
-    # Sorted index on the time column for range queries.
-    lat, partial = _timed(lambda: execute_on_segment(indexed, TIME_RANGE_QUERY))
-    out["pinot sorted (range q)"] = lat, partial.plan.docs_examined
-    lat, __ = _timed(lambda: scanstore.execute(TIME_RANGE_QUERY))
-    out["druid-like (range q)"] = lat, N_ROWS
-    return out
+    ladder = {
+        "druid-like scan": lambda: scanstore.execute(FILTER_QUERY),
+        "pinot no index": lambda: execute_on_segment(plain, FILTER_QUERY),
+        "pinot inverted": lambda: execute_on_segment(indexed, FILTER_QUERY),
+        "pinot star-tree": lambda: execute_on_segment(startree_segment, FILTER_QUERY),
+        # Sorted index on the time column for range queries.
+        "pinot sorted (range q)": lambda: execute_on_segment(indexed, TIME_RANGE_QUERY),
+        "druid-like (range q)": lambda: scanstore.execute(TIME_RANGE_QUERY),
+    }
+    best = dict.fromkeys(ladder, float("inf"))
+    last = {}
+    for __ in range(ROUNDS):
+        for name, query in ladder.items():
+            lat, last[name] = _timed(query)
+            best[name] = min(best[name], lat)
+    assert last["pinot star-tree"].plan.used_startree
+    return {
+        name: (
+            lat,
+            N_ROWS if name.startswith("druid") else last[name].plan.docs_examined,
+        )
+        for name, lat in best.items()
+    }
 
 
 def test_index_latency_ladder(benchmark):
     results = benchmark.pedantic(run_comparison, rounds=1, iterations=1)
     scan_lat = results["druid-like scan"][0]
     print_table(
-        f"C4: group-by/agg query over {N_ROWS} rows, {REPEATS} repeats",
+        f"C4: group-by/agg query over {N_ROWS} rows, {REPEATS} repeats, "
+        f"best of {ROUNDS} rounds",
         ["configuration", "latency (s)", "docs examined", "speedup vs scan"],
         [
             [name, f"{lat:.4f}", docs, f"{scan_lat / lat:.1f}x"]

@@ -33,7 +33,6 @@ SCENARIO_NAMES = ("flink_window", "presto_scan")
 
 def run_variant(name: str, seed: int, columnar: bool):
     from repro.bench.costmodel import virtual_us
-    from repro.bench.harness import OpProbe
     from repro.bench.scenarios import SCENARIOS
     from repro.common.perf import PERF, measured
     from repro.common.records import reset_uid_counter
@@ -43,7 +42,7 @@ def run_variant(name: str, seed: int, columnar: bool):
     params["columnar"] = columnar
     reset_uid_counter()
     with measured():
-        outcome = spec.fn(params, seed, OpProbe())
+        outcome = spec.fn(params, seed)
         cost_us = virtual_us(PERF.counts)
     return outcome, cost_us
 

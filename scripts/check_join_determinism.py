@@ -36,7 +36,6 @@ SEEDS = (42, 7, 2021)
 
 
 def run_variant(seed: int, crash_restore: bool):
-    from repro.bench.harness import OpProbe
     from repro.bench.scenarios import SCENARIOS
     from repro.common.perf import measured
     from repro.common.records import reset_uid_counter
@@ -46,7 +45,7 @@ def run_variant(seed: int, crash_restore: bool):
     params["crash_restore"] = crash_restore
     reset_uid_counter()
     with measured():
-        return spec.fn(params, seed, OpProbe())
+        return spec.fn(params, seed)
 
 
 def main() -> int:

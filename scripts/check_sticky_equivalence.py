@@ -39,7 +39,6 @@ SCENARIOS_UNDER_TEST = {
 
 def run_variant(name: str, seed: int, sticky: bool, overrides: dict):
     from repro.bench.costmodel import virtual_us
-    from repro.bench.harness import OpProbe
     from repro.bench.scenarios import SCENARIOS
     from repro.common.perf import PERF, measured
     from repro.common.records import reset_uid_counter
@@ -50,7 +49,7 @@ def run_variant(name: str, seed: int, sticky: bool, overrides: dict):
     params["sticky"] = sticky
     reset_uid_counter()
     with measured():
-        outcome = spec.fn(params, seed, OpProbe())
+        outcome = spec.fn(params, seed)
         cost_us = virtual_us(PERF.counts)
     return outcome, cost_us
 

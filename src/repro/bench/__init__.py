@@ -10,27 +10,24 @@ that gap:
   Kafka produce→fetch, a Flink window pipeline, Pinot realtime
   ingest+query, a Presto scan — each driven under the simulated clock
   from a single seed.
-* :mod:`repro.bench.harness` runs them, collecting records/sec, p50/p99
-  per-op latency and allocation counts from the perf counters threaded
-  through the hot paths (:mod:`repro.common.perf`), plus true wall time
-  and the simulated-vs-wall slowdown for human consumption.
+* :mod:`repro.bench.harness` runs them, collecting records/sec (over
+  virtual seconds) and allocation counts from the perf counters threaded
+  through the hot paths (:mod:`repro.common.perf`).
 * :mod:`repro.bench.baseline` compares a fresh run against a committed
-  ``BENCH_core.json`` and flags throughput regressions beyond a
-  threshold.
+  ``BENCH_core.json`` and flags throughput drops of more than 25%.
 * ``python -m repro.bench`` is the CLI; CI runs it with ``--quick
-  --baseline BENCH_core.json`` and fails the build on a >25% regression.
+  --baseline BENCH_core.json`` and fails the build on a regression.
 
-The committed JSON is **deterministic**: throughput and latency are
-derived from counted hot-path operations through a fixed cost model
+The committed JSON is **deterministic**: throughput is derived from
+counted hot-path operations through a fixed cost model
 (:mod:`repro.bench.costmodel`), so two runs with the same seed emit
-byte-identical files on any machine.  Wall-clock numbers — which vary
-run to run — are printed and only embedded with ``--wall``.
+byte-identical files on any machine.  This package reads no wall clock;
+wall time and per-op latency come from ``perfbench/``.
 """
 
 from repro.bench.baseline import BaselineComparison, compare_reports, load_report
 from repro.bench.harness import (
     BenchReport,
-    OpProbe,
     ScenarioResult,
     build_report,
     render_report,
@@ -42,7 +39,6 @@ from repro.bench.scenarios import SCENARIOS, quick_scenario_names, scenario_name
 __all__ = [
     "BaselineComparison",
     "BenchReport",
-    "OpProbe",
     "SCENARIOS",
     "ScenarioResult",
     "build_report",

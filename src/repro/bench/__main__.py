@@ -13,12 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.bench.baseline import (
-    DEFAULT_THRESHOLD,
-    BaselineError,
-    compare_reports,
-    load_report,
-)
+from repro.bench.baseline import BaselineError, compare_reports, load_report
 from repro.bench.harness import (
     DEFAULT_SEED,
     BenchError,
@@ -64,19 +59,6 @@ def main(argv: list[str] | None = None) -> int:
         metavar="PATH",
         help="compare against a committed report; exit 1 on regression",
     )
-    parser.add_argument(
-        "--threshold",
-        type=float,
-        default=DEFAULT_THRESHOLD,
-        help="relative rps drop that counts as a regression "
-        "(default: %(default)s)",
-    )
-    parser.add_argument(
-        "--wall",
-        action="store_true",
-        help="embed this machine's wall-clock numbers in the JSON "
-        "(makes the file non-reproducible)",
-    )
     args = parser.parse_args(argv)
 
     try:
@@ -89,15 +71,13 @@ def main(argv: list[str] | None = None) -> int:
     print(render_report(report))
     if not args.no_out:
         out_path = Path(args.out)
-        out_path.write_text(report_to_json(report, include_wall=args.wall))
+        out_path.write_text(report_to_json(report))
         print(f"wrote {out_path}")
     if args.baseline is None:
         return 0
     try:
         baseline = load_report(args.baseline)
-        comparison = compare_reports(
-            build_report(report), baseline, threshold=args.threshold
-        )
+        comparison = compare_reports(build_report(report), baseline)
     except BaselineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,8 +2,8 @@
 
 A committed ``BENCH_core.json`` is the perf contract; a fresh run is
 compared scenario-by-scenario on the deterministic ``rps``.  A scenario
-regresses when its throughput drops more than ``threshold`` (default
-25%) below the baseline — CI fails on any regression.  Scenarios present
+regresses when its throughput drops more than ``DEFAULT_THRESHOLD``
+(25%) below the baseline — CI fails on any regression.  Scenarios present
 in the baseline but missing from the run also fail (a deleted workload
 is not a speedup); scenarios new in the run pass with a note.
 
@@ -44,7 +44,6 @@ class ScenarioDelta:
 
 @dataclass
 class BaselineComparison:
-    threshold: float
     deltas: list[ScenarioDelta] = field(default_factory=list)
 
     @property
@@ -60,9 +59,9 @@ class BaselineComparison:
             "no throughput regressions"
             if self.ok
             else f"{len(self.regressions)} scenario(s) regressed "
-            f"beyond {self.threshold:.0%}"
+            f"beyond {DEFAULT_THRESHOLD:.0%}"
         )
-        lines = [f"baseline comparison (threshold {self.threshold:.0%}): {verdict}"]
+        lines = [f"baseline comparison (threshold {DEFAULT_THRESHOLD:.0%}): {verdict}"]
         lines.extend(d.render() for d in self.deltas)
         return "\n".join(lines)
 
@@ -84,11 +83,7 @@ def load_report(path: str | Path) -> dict:
     return doc
 
 
-def compare_reports(
-    current: dict,
-    baseline: dict,
-    threshold: float = DEFAULT_THRESHOLD,
-) -> BaselineComparison:
+def compare_reports(current: dict, baseline: dict) -> BaselineComparison:
     """Compare two report documents (as emitted by ``build_report``)."""
     for key in ("schema_version", "cost_model_version"):
         if baseline.get(key) != current.get(key):
@@ -96,7 +91,7 @@ def compare_reports(
                 f"baseline {key}={baseline.get(key)} does not match "
                 f"current {key}={current.get(key)}; regenerate the baseline"
             )
-    comparison = BaselineComparison(threshold=threshold)
+    comparison = BaselineComparison()
     base_scenarios = baseline["scenarios"]
     cur_scenarios = current["scenarios"]
     for name in sorted(set(base_scenarios) | set(cur_scenarios)):
@@ -111,7 +106,7 @@ def compare_reports(
                 ScenarioDelta(name, base_rps, None, regressed=True, note="missing")
             )
         else:
-            regressed = cur_rps < base_rps * (1.0 - threshold)
+            regressed = cur_rps < base_rps * (1.0 - DEFAULT_THRESHOLD)
             comparison.deltas.append(
                 ScenarioDelta(name, base_rps, cur_rps, regressed=regressed)
             )

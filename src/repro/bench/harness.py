@@ -1,18 +1,15 @@
 """Scenario runner: perf counters in, deterministic report out.
 
-The harness runs each scenario twice over nothing — once is enough: a
-scenario executes under :class:`repro.common.perf.measured`, which
-enables the global counters for exactly the scenario's duration.  An
-:class:`OpProbe` handed to the scenario marks logical operation
-boundaries (one produce call, one fetch page, one query, one scheduler
-round); the harness derives p50/p99 per-op cost from the counter deltas
-between marks, and true wall latency from ``time.perf_counter`` around
-the same marks.
+A scenario executes once, under :class:`repro.common.perf.measured`,
+which enables the global counters for exactly the scenario's duration.
+The counter snapshot, priced through the cost model, is the scenario's
+virtual time; nothing here reads a wall clock (``perfbench/`` measures
+wall time and latency).
 
 Report layout (``BENCH_core.json``)::
 
     {
-      "schema_version": 1,
+      "schema_version": 2,
       "cost_model_version": 1,
       "seed": 42,
       "mode": "full",
@@ -22,10 +19,8 @@ Report layout (``BENCH_core.json``)::
           "ops": ...,       # total counted hot-path operations
           "allocs": ...,    # counted allocations (``*_allocs`` counters)
           "sim_s": ...,     # simulated-clock seconds the workload spanned
-          "wall_s": ...,    # virtual seconds (cost model over ops)
-          "rps": ...,       # records / wall_s — the regression-gated number
-          "p50_ms": ...,    # per-op virtual cost percentiles
-          "p99_ms": ...,
+          "virtual_s": ..., # virtual seconds (cost model over ops)
+          "rps": ...,       # records / virtual_s — the regression-gated number
           "check": ...,     # workload-validity checksum (results, not speed)
           "counters": {...} # full counter snapshot
         }
@@ -34,17 +29,12 @@ Report layout (``BENCH_core.json``)::
 
 Everything in the file is derived from counted operations and the seeded
 workload, so two runs with the same seed produce byte-identical bytes.
-True wall-clock numbers (and the simulated-vs-wall slowdown) are kept in
-a parallel :class:`WallStats` structure — printed, and embedded under a
-``"wall"`` key only when explicitly requested (``--wall``), because they
-are not reproducible.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import dataclass, field
 
 from repro.bench.costmodel import (
@@ -57,7 +47,7 @@ from repro.common.errors import ReproError
 from repro.common.perf import PERF, measured
 from repro.common.records import reset_uid_counter
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 DEFAULT_SEED = 42
 
 
@@ -65,55 +55,15 @@ class BenchError(ReproError):
     """Harness misuse: unknown scenario, malformed baseline, etc."""
 
 
-class OpProbe:
-    """Marks logical-operation boundaries inside a running scenario."""
-
-    def __init__(self) -> None:
-        self.op_costs_us: list[float] = []
-        self.op_wall_s: list[float] = []
-        self._open_virtual: float | None = None
-        self._open_wall = 0.0
-
-    def __enter__(self) -> "OpProbe":
-        self._open_virtual = virtual_us(PERF.counts)
-        self._open_wall = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        wall = time.perf_counter() - self._open_wall
-        if self._open_virtual is None:
-            raise BenchError("OpProbe exited without being entered")
-        self.op_costs_us.append(virtual_us(PERF.counts) - self._open_virtual)
-        self.op_wall_s.append(wall)
-        self._open_virtual = None
-
-    def op(self) -> "OpProbe":
-        """Readability alias: ``with probe.op(): ...`` marks one operation."""
-        return self
-
-
-@dataclass
-class WallStats:
-    """Non-deterministic companion numbers for one scenario."""
-
-    wall_s: float
-    rps: float
-    p50_ms: float
-    p99_ms: float
-    sim_x_wall: float  # simulated seconds covered per wall second
-
-
 @dataclass
 class ScenarioResult:
-    """One scenario's outcome: deterministic core + wall companion."""
+    """One scenario's outcome: counted work and its results digest."""
 
     name: str
     records: int
     sim_s: float
     check: int
     counters: dict[str, int]
-    op_costs_us: list[float]
-    wall: WallStats
 
     @property
     def ops(self) -> int:
@@ -134,10 +84,8 @@ class ScenarioResult:
             "ops": self.ops,
             "allocs": alloc_count(self.counters),
             "sim_s": round(self.sim_s, 6),
-            "wall_s": round(self.virtual_s, 6),
+            "virtual_s": round(self.virtual_s, 6),
             "rps": round(self.rps, 1),
-            "p50_ms": round(_percentile(self.op_costs_us, 50) / 1e3, 6),
-            "p99_ms": round(_percentile(self.op_costs_us, 99) / 1e3, 6),
             "check": self.check,
             "counters": dict(sorted(self.counters.items())),
         }
@@ -154,15 +102,6 @@ class BenchReport:
             if result.name == name:
                 return result
         raise BenchError(f"no scenario {name!r} in report")
-
-
-def _percentile(values: list[float], pct: float) -> float:
-    """Nearest-rank percentile over a copy-sorted list; 0.0 when empty."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    rank = max(1, math.ceil(pct / 100.0 * len(ordered)))
-    return ordered[rank - 1]
 
 
 def run_scenarios(
@@ -195,86 +134,52 @@ def _select(names: list[str] | None, quick: bool) -> list[ScenarioSpec]:
 
 def _run_one(spec: ScenarioSpec, seed: int, quick: bool) -> ScenarioResult:
     params = spec.quick_params if quick else spec.full_params
-    probe = OpProbe()
     # Uid strings are stamped from a process-global counter and their
     # length feeds encoded record sizes (so producer batch boundaries);
     # restart it so a scenario's counts don't depend on what ran earlier
     # in this process.
     reset_uid_counter()
-    wall_start = time.perf_counter()
     with measured():
-        outcome = spec.fn(dict(params), seed, probe)
+        outcome = spec.fn(dict(params), seed)
         counters = PERF.snapshot()
-    wall_s = time.perf_counter() - wall_start
-    result = ScenarioResult(
+    return ScenarioResult(
         name=spec.name,
         records=outcome.records,
         sim_s=outcome.sim_s,
         check=outcome.check,
         counters=counters,
-        op_costs_us=probe.op_costs_us,
-        wall=WallStats(
-            wall_s=wall_s,
-            rps=outcome.records / wall_s if wall_s else math.inf,
-            p50_ms=_percentile(probe.op_wall_s, 50) * 1e3,
-            p99_ms=_percentile(probe.op_wall_s, 99) * 1e3,
-            sim_x_wall=outcome.sim_s / wall_s if wall_s else math.inf,
-        ),
     )
-    return result
 
 
 # -- serialization -------------------------------------------------------------
 
 
-def build_report(report: BenchReport, include_wall: bool = False) -> dict:
-    """The report as a JSON-ready dict; deterministic unless
-    ``include_wall`` adds the (non-reproducible) wall section."""
-    doc: dict = {
+def build_report(report: BenchReport) -> dict:
+    """The report as a JSON-ready dict."""
+    return {
         "schema_version": SCHEMA_VERSION,
         "cost_model_version": COST_MODEL_VERSION,
         "seed": report.seed,
         "mode": report.mode,
         "scenarios": {r.name: r.core_dict() for r in report.results},
     }
-    if include_wall:
-        doc["wall"] = {
-            r.name: {
-                "wall_s": round(r.wall.wall_s, 6),
-                "rps": round(r.wall.rps, 1),
-                "p50_ms": round(r.wall.p50_ms, 6),
-                "p99_ms": round(r.wall.p99_ms, 6),
-                "sim_x_wall": round(r.wall.sim_x_wall, 3),
-            }
-            for r in report.results
-        }
-    return doc
 
 
-def report_to_json(report: BenchReport, include_wall: bool = False) -> str:
+def report_to_json(report: BenchReport) -> str:
     """Canonical serialization: sorted keys, two-space indent, trailing
-    newline.  Byte-identical across runs with the same seed (without the
-    wall section)."""
-    return json.dumps(build_report(report, include_wall), indent=2, sort_keys=True) + "\n"
+    newline.  Byte-identical across runs with the same seed."""
+    return json.dumps(build_report(report), indent=2, sort_keys=True) + "\n"
 
 
 def render_report(report: BenchReport) -> str:
-    """Human-readable table: deterministic metrics plus wall context."""
-    header = (
-        f"{'scenario':<22} {'records':>8} {'rps':>12} {'p99_ms':>9} "
-        f"{'allocs':>9} {'wall rps':>12} {'simxwall':>9}"
-    )
+    """Human-readable table of the deterministic metrics."""
+    header = f"{'scenario':<22} {'records':>8} {'rps':>12} {'allocs':>9}"
     lines = [f"repro.bench seed={report.seed} mode={report.mode}", header,
              "-" * len(header)]
     for r in report.results:
         core = r.core_dict()
         lines.append(
             f"{r.name:<22} {core['records']:>8} {core['rps']:>12,.1f} "
-            f"{core['p99_ms']:>9.3f} {core['allocs']:>9} "
-            f"{r.wall.rps:>12,.1f} {r.wall.sim_x_wall:>9.1f}"
+            f"{core['allocs']:>9}"
         )
-    lines.append(
-        "(rps/p99/allocs are deterministic, from the op-cost model; "
-        "'wall rps' and 'simxwall' are this machine, this run)"
-    )
     return "\n".join(lines)

@@ -63,7 +63,7 @@ class Outcome:
 @dataclass(frozen=True)
 class ScenarioSpec:
     name: str
-    fn: Callable[[dict, int, Any], Outcome]
+    fn: Callable[[dict, int], Outcome]
     full_params: dict
     quick_params: dict
     in_quick: bool = True
@@ -83,7 +83,7 @@ def _digest(value: Any) -> int:
 # -- kafka ---------------------------------------------------------------------
 
 
-def kafka_produce_fetch(params: dict, seed: int, probe) -> Outcome:
+def kafka_produce_fetch(params: dict, seed: int) -> Outcome:
     from repro.kafka.cluster import KafkaCluster, TopicConfig
     from repro.kafka.producer import Producer
 
@@ -105,10 +105,8 @@ def kafka_produce_fetch(params: dict, seed: int, probe) -> Outcome:
     keys = [f"k{rng.randrange(params['keys'])}" for __ in range(n)]
     for i in range(n):
         clock.advance(0.001)
-        with probe.op():
-            producer.send("events", {"i": i, "pad": PAD}, key=keys[i])
-    with probe.op():
-        producer.flush()
+        producer.send("events", {"i": i, "pad": PAD}, key=keys[i])
+    producer.flush()
     cluster.replicate()
     fetched = 0
     checksum = 0
@@ -116,8 +114,7 @@ def kafka_produce_fetch(params: dict, seed: int, probe) -> Outcome:
         offset = cluster.start_offset("events", partition)
         end = cluster.end_offset("events", partition)
         while offset < end:
-            with probe.op():
-                entries = cluster.fetch("events", partition, offset, 500)
+            entries = cluster.fetch("events", partition, offset, 500)
             offset = entries[-1].offset + 1
             fetched += len(entries)
             checksum += sum(e.record.value["i"] for e in entries)
@@ -127,7 +124,7 @@ def kafka_produce_fetch(params: dict, seed: int, probe) -> Outcome:
 # -- flink ---------------------------------------------------------------------
 
 
-def flink_window(params: dict, seed: int, probe) -> Outcome:
+def flink_window(params: dict, seed: int) -> Outcome:
     from repro.flink.graph import StreamEnvironment
     from repro.flink.operators import BoundedColumnarSource, BoundedListSource
     from repro.flink.runtime import JobRuntime
@@ -168,15 +165,14 @@ def flink_window(params: dict, seed: int, probe) -> Outcome:
         .sink_to_list(out)
     runtime = JobRuntime(env.build("bench-window"), clock=clock)
     while True:
-        with probe.op():
-            processed = runtime.run_rounds(1, budget_per_task=500)
+        processed = runtime.run_rounds(1, budget_per_task=500)
         if processed == 0:
             break
     sums = sorted((r.key, r.window.start, r.value) for r in out)
     return Outcome(records=n, sim_s=clock.now(), check=_digest(sums))
 
 
-def stream_join(params: dict, seed: int, probe) -> Outcome:
+def stream_join(params: dict, seed: int) -> Outcome:
     """Interval-joined prediction/outcome streams feeding a feature store.
 
     High key cardinality (``keys`` join keys over ``records`` lefts, so
@@ -306,8 +302,7 @@ def stream_join(params: dict, seed: int, probe) -> Outcome:
     rounds = 0
     restored = False
     while True:
-        with probe.op():
-            processed = runtime.run_rounds(1, budget_per_task=500)
+        processed = runtime.run_rounds(1, budget_per_task=500)
         rounds += 1
         if crash:
             if rounds == params.get("checkpoint_round", 3):
@@ -329,14 +324,13 @@ def stream_join(params: dict, seed: int, probe) -> Outcome:
     # Offline half of the determinism gate: seeded per-model point-in-time
     # reads over the out-of-order version history.
     read_rng = seeded_rng(seed, "bench.stream_join.reads")
-    with probe.op():
-        read_digest = store.read_digest(
-            (
-                ("model", f"m{read_rng.randrange(models)}"),
-                read_rng.uniform(0.0, n * dt),
-            )
-            for __ in range(params["reads"])
+    read_digest = store.read_digest(
+        (
+            ("model", f"m{read_rng.randrange(models)}"),
+            read_rng.uniform(0.0, n * dt),
         )
+        for __ in range(params["reads"])
+    )
     joined = sorted(out, key=lambda r: (r["id"], r["ls"], r["rs"]))
     return Outcome(
         records=n,
@@ -350,7 +344,7 @@ def stream_join(params: dict, seed: int, probe) -> Outcome:
 # -- pinot ---------------------------------------------------------------------
 
 
-def _pinot_table(params: dict, seed: int, probe):
+def _pinot_table(params: dict, seed: int):
     from repro.kafka.cluster import KafkaCluster, TopicConfig
     from repro.kafka.producer import Producer
     from repro.metadata.schema import Field, FieldRole, FieldType, Schema
@@ -432,8 +426,7 @@ def _pinot_table(params: dict, seed: int, probe):
         "metrics",
     )
     while True:
-        with probe.op():
-            state.ingestion.run_step()
+        state.ingestion.run_step()
         controller.backup.run_step()
         if state.ingestion.lag() == 0 and not any(
             s.blocked() for s in state.ingestion.partitions.values()
@@ -442,10 +435,10 @@ def _pinot_table(params: dict, seed: int, probe):
     return clock, PinotBroker(controller, clock=clock)
 
 
-def pinot_ingest_query(params: dict, seed: int, probe) -> Outcome:
+def pinot_ingest_query(params: dict, seed: int) -> Outcome:
     from repro.pinot.query import Aggregation, Filter, PinotQuery
 
-    clock, broker = _pinot_table(params, seed, probe)
+    clock, broker = _pinot_table(params, seed)
     n = params["records"]
     checks = []
     queries = [
@@ -470,8 +463,7 @@ def pinot_ingest_query(params: dict, seed: int, probe) -> Outcome:
     ]
     for __ in range(params["query_rounds"]):
         for query in queries:
-            with probe.op():
-                result = broker.execute(query)
+            result = broker.execute(query)
             checks.append(
                 sorted(
                     tuple(sorted(row.items())) for row in result.rows
@@ -480,7 +472,7 @@ def pinot_ingest_query(params: dict, seed: int, probe) -> Outcome:
     return Outcome(records=n, sim_s=clock.now(), check=_digest(checks))
 
 
-def pinot_selective_query(params: dict, seed: int, probe) -> Outcome:
+def pinot_selective_query(params: dict, seed: int) -> Outcome:
     """Selective queries over many segments: the pruning + cache hot path.
 
     A keyed-by-city stream lands in a table that declares its partition
@@ -549,8 +541,7 @@ def pinot_selective_query(params: dict, seed: int, probe) -> Outcome:
         "rides",
     )
     while True:
-        with probe.op():
-            state.ingestion.run_step()
+        state.ingestion.run_step()
         controller.backup.run_step()
         if state.ingestion.lag() == 0 and not any(
             s.blocked() for s in state.ingestion.partitions.values()
@@ -597,8 +588,7 @@ def pinot_selective_query(params: dict, seed: int, probe) -> Outcome:
     checks = []
     for __ in range(params["query_rounds"]):
         for query in queries:
-            with probe.op():
-                result = broker.execute(query)
+            result = broker.execute(query)
             checks.append(
                 sorted(tuple(sorted(row.items())) for row in result.rows)
             )
@@ -608,11 +598,11 @@ def pinot_selective_query(params: dict, seed: int, probe) -> Outcome:
 # -- presto --------------------------------------------------------------------
 
 
-def presto_scan(params: dict, seed: int, probe) -> Outcome:
+def presto_scan(params: dict, seed: int) -> Outcome:
     from repro.sql.presto.connector import PinotConnector
     from repro.sql.presto.engine import PrestoEngine
 
-    clock, broker = _pinot_table(params, seed, probe)
+    clock, broker = _pinot_table(params, seed)
     n = params["records"]
     engine = PrestoEngine(
         {
@@ -630,13 +620,12 @@ def presto_scan(params: dict, seed: int, probe) -> Outcome:
     )
     checks = []
     for __ in range(params["query_rounds"]):
-        with probe.op():
-            out = engine.execute(sql)
+        out = engine.execute(sql)
         checks.append([tuple(sorted(row.items())) for row in out.rows])
     return Outcome(records=n, sim_s=clock.now(), check=_digest(checks))
 
 
-def presto_federated_join(params: dict, seed: int, probe) -> Outcome:
+def presto_federated_join(params: dict, seed: int) -> Outcome:
     """Federated join with stage-artifact reuse: the planner's hot path.
 
     A Pinot realtime fact table (``rides``, keyed and partitioned by
@@ -688,8 +677,7 @@ def presto_federated_join(params: dict, seed: int, probe) -> Outcome:
 
     def ingest_until_caught_up() -> None:
         while True:
-            with probe.op():
-                state.ingestion.run_step()
+            state.ingestion.run_step()
             controller.backup.run_step()
             if state.ingestion.lag() == 0 and not any(
                 s.blocked() for s in state.ingestion.partitions.values()
@@ -767,8 +755,7 @@ def presto_federated_join(params: dict, seed: int, probe) -> Outcome:
             send_rides(n // 8)
             ingest_until_caught_up()
         for sql in queries:
-            with probe.op():
-                out = engine.execute(sql)
+            out = engine.execute(sql)
             checks.append([tuple(sorted(row.items())) for row in out.rows])
     return Outcome(records=n, sim_s=clock.now(), check=_digest(checks))
 
@@ -776,7 +763,7 @@ def presto_federated_join(params: dict, seed: int, probe) -> Outcome:
 # -- control plane -------------------------------------------------------------
 
 
-def controlplane_surge(params: dict, seed: int, probe) -> Outcome:
+def controlplane_surge(params: dict, seed: int) -> Outcome:
     """The million-user surge under SLO-tiered admission + autoscaling.
 
     Wraps :func:`repro.controlplane.surge.run_surge`: a skewed, diurnal,
@@ -789,7 +776,7 @@ def controlplane_surge(params: dict, seed: int, probe) -> Outcome:
     """
     from repro.controlplane.surge import run_surge
 
-    report = run_surge(params, seed, probe)
+    report = run_surge(params, seed)
     return Outcome(
         records=report.requests, sim_s=report.sim_s, check=report.check
     )

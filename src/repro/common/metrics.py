@@ -10,7 +10,14 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right, insort
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+
+
+def nearest_rank(ordered: Sequence[float], pct: float) -> float:
+    """Nearest-rank percentile of a non-empty, ascending sequence."""
+    rank = math.ceil(pct / 100.0 * len(ordered))
+    return ordered[max(1, min(len(ordered), rank)) - 1]
 
 
 class Counter:
@@ -68,8 +75,7 @@ class Histogram:
             return math.nan
         if not 0 <= pct <= 100:
             raise ValueError(f"percentile must be in [0, 100], got {pct}")
-        rank = max(1, math.ceil(pct / 100.0 * len(self._sorted)))
-        return self._sorted[rank - 1]
+        return nearest_rank(self._sorted, pct)
 
     @property
     def mean(self) -> float:

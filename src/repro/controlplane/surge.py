@@ -93,18 +93,6 @@ DEFAULT_PARAMS = {
 }
 
 
-class _NullProbe:
-    class _Op:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-    def op(self):
-        return self._Op()
-
-
 def _digest(value) -> int:
     """Deterministic checksum of a result structure (bench-compatible)."""
     return int.from_bytes(hashlib.sha256(serde.encode(value)).digest()[:6], "big")
@@ -151,7 +139,7 @@ class SurgeReport:
         return bool(entry and entry["count"] and entry["met"])
 
 
-def _build_rides(params: dict, seed: int, clock, kafka, controller, probe):
+def _build_rides(params: dict, seed: int, clock, kafka, controller):
     """Seed and fully ingest the stable serving table before the surge."""
     from repro.kafka.cluster import TopicConfig
     from repro.kafka.producer import Producer
@@ -197,8 +185,7 @@ def _build_rides(params: dict, seed: int, clock, kafka, controller, probe):
         "rides",
     )
     while True:
-        with probe.op():
-            state.ingestion.run_step()
+        state.ingestion.run_step()
         controller.backup.run_step()
         if state.ingestion.lag() == 0 and not any(
             p.blocked() for p in state.ingestion.partitions.values()
@@ -316,7 +303,7 @@ def _query_for(request, cities, span_end: float):
     )
 
 
-def run_surge(params: dict, seed: int, probe=None) -> SurgeReport:
+def run_surge(params: dict, seed: int) -> SurgeReport:
     """Run the surge simulation; see the module docstring."""
     from repro.kafka.cluster import KafkaCluster
     from repro.kafka.producer import Producer
@@ -333,7 +320,6 @@ def run_surge(params: dict, seed: int, probe=None) -> SurgeReport:
     merged = dict(DEFAULT_PARAMS)
     merged.update(params)
     params = merged
-    probe = probe or _NullProbe()
     control = bool(params["control"])
 
     clock = SimulatedClock()
@@ -345,7 +331,7 @@ def run_surge(params: dict, seed: int, probe=None) -> SurgeReport:
     was_perf = PERF.enabled
     PERF.enabled = True  # virtual query cost drives the queue's service time
     try:
-        rides, cities = _build_rides(params, seed, clock, kafka, controller, probe)
+        rides, cities = _build_rides(params, seed, clock, kafka, controller)
         telemetry, flink = _build_telemetry(params, clock, kafka, controller)
         span_end = clock.now()
         sticky = bool(params["sticky"])
@@ -576,8 +562,7 @@ def run_surge(params: dict, seed: int, probe=None) -> SurgeReport:
                 ]
             else:
                 est_filters = list(query.filters)
-            with probe.op():
-                est_docs, __ = broker.estimate_rows("rides", est_filters)
+            est_docs, __ = broker.estimate_rows("rides", est_filters)
             est_service_s = (
                 params["service_floor_s"]
                 + est_docs
@@ -587,11 +572,10 @@ def run_surge(params: dict, seed: int, probe=None) -> SurgeReport:
             hits0 = PERF.counts.get("pinot.cache_hits", 0)
             miss0 = PERF.counts.get("pinot.cache_misses", 0)
             before = _virtual_cost()
-            with probe.op():
-                if isinstance(query, str):
-                    rows = engine.execute(query).rows
-                else:
-                    rows = broker.execute(query).rows
+            if isinstance(query, str):
+                rows = engine.execute(query).rows
+            else:
+                rows = broker.execute(query).rows
             cost_us = _virtual_cost() - before
             tier = tier_cache.setdefault(request.use_case, [0, 0])
             delta_hits = PERF.counts.get("pinot.cache_hits", 0) - hits0

@@ -19,11 +19,11 @@ Two probes:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.common.clock import Clock, SystemClock
+from repro.common.metrics import nearest_rank
 
 
 @dataclass(frozen=True)
@@ -44,9 +44,7 @@ class FreshnessReport:
         """Nearest-rank percentile, matching Histogram.percentile."""
         if not self.samples:
             raise ValueError("no freshness samples collected")
-        rank = math.ceil(pct / 100 * len(self.samples))
-        rank = max(1, min(len(self.samples), rank))
-        return self.samples[rank - 1]
+        return nearest_rank(self.samples, pct)
 
     @property
     def p50(self) -> float:

@@ -25,17 +25,13 @@ def _report(rps_by_name: dict[str, float], **overrides) -> dict:
 
 
 def test_within_threshold_passes():
-    comparison = compare_reports(
-        _report({"a": 80.0}), _report({"a": 100.0}), threshold=0.25
-    )
+    comparison = compare_reports(_report({"a": 80.0}), _report({"a": 100.0}))
     assert comparison.ok
     assert not comparison.regressions
 
 
 def test_drop_beyond_threshold_fails():
-    comparison = compare_reports(
-        _report({"a": 74.0}), _report({"a": 100.0}), threshold=0.25
-    )
+    comparison = compare_reports(_report({"a": 74.0}), _report({"a": 100.0}))
     assert not comparison.ok
     assert [d.name for d in comparison.regressions] == ["a"]
 
@@ -45,15 +41,13 @@ def test_doctored_double_baseline_fails():
     # a >25% "regression" — the gate must trip.
     current = _report({"a": 100.0, "b": 50.0})
     doctored = _report({"a": 200.0, "b": 100.0})
-    comparison = compare_reports(current, doctored, threshold=0.25)
+    comparison = compare_reports(current, doctored)
     assert not comparison.ok
     assert len(comparison.regressions) == 2
 
 
 def test_missing_scenario_is_a_regression_and_new_is_not():
-    comparison = compare_reports(
-        _report({"new_one": 10.0}), _report({"gone": 10.0}), threshold=0.25
-    )
+    comparison = compare_reports(_report({"new_one": 10.0}), _report({"gone": 10.0}))
     by_name = {d.name: d for d in comparison.deltas}
     assert by_name["gone"].regressed
     assert not by_name["new_one"].regressed

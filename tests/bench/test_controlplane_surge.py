@@ -99,7 +99,7 @@ class TestScenarioRegistration:
         # confirm the Outcome plumbing (records/sim_s/check) is wired.
         from tests.controlplane.surge_fixtures import SMALL_PARAMS, SEED
 
-        outcome = self._spec().fn(dict(SMALL_PARAMS, control=True), SEED, None)
+        outcome = self._spec().fn(dict(SMALL_PARAMS, control=True), SEED)
         assert outcome.records == controlled_run().requests
         assert outcome.sim_s > 0
         assert outcome.check == controlled_run().check

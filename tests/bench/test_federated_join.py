@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from repro.bench.costmodel import virtual_us
-from repro.bench.harness import OpProbe
 from repro.bench.scenarios import presto_federated_join
 from repro.common.perf import PERF, measured
 from repro.common.records import reset_uid_counter
@@ -20,7 +19,7 @@ def run(reuse: bool):
     params = dict(PARAMS, reuse=reuse)
     reset_uid_counter()
     with measured():
-        outcome = presto_federated_join(params, 42, OpProbe())
+        outcome = presto_federated_join(params, 42)
         counters = PERF.snapshot()
     rps = outcome.records / (virtual_us(counters) / 1e6)
     return outcome, counters, rps

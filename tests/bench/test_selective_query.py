@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from repro.bench.costmodel import virtual_us
-from repro.bench.harness import OpProbe
 from repro.bench.scenarios import pinot_selective_query
 from repro.common.perf import PERF, measured
 from repro.common.records import reset_uid_counter
@@ -22,7 +21,7 @@ def run(pruning: bool, cache: bool, sticky: bool = False):
     params = dict(PARAMS, pruning=pruning, cache=cache, sticky=sticky)
     reset_uid_counter()
     with measured():
-        outcome = pinot_selective_query(params, 42, OpProbe())
+        outcome = pinot_selective_query(params, 42)
         counters = PERF.snapshot()
     rps = outcome.records / (virtual_us(counters) / 1e6)
     return outcome, counters, rps

@@ -9,7 +9,6 @@ evicted, duplicate deliveries absorbed by the store).
 
 from __future__ import annotations
 
-from repro.bench.harness import OpProbe
 from repro.bench.scenarios import SCENARIOS
 from repro.common.perf import PERF, measured
 from repro.common.records import reset_uid_counter
@@ -40,7 +39,7 @@ def run(seed, crash_restore=False):
         params.update(crash_restore=True, checkpoint_round=1, crash_round=2)
     reset_uid_counter()
     with measured():
-        outcome = SPEC.fn(params, seed, OpProbe())
+        outcome = SPEC.fn(params, seed)
         counters = dict(PERF.counts)
     return outcome, counters
 
