@@ -24,13 +24,23 @@ bytes, so they are stable across processes (no ``PYTHONHASHSEED``
 dependence) and equality-canonical: keys that compare ``==`` (``5``,
 ``5.0``) route identically, the same contract the hash partitioner and
 the segment bloom filters already rely on.
+
+Encoding costs more than hashing, so every routing call encodes its key
+once (not once per node), and the bytes of hashable values come from one
+bounded LRU memo.  Ring members and hot keys such as the broker's
+``(table, segment)`` pairs repeat on every call.  Equal encodable values
+share canonical bytes, so a memo keyed by ``==`` returns exactly what a
+fresh encoding would, whichever of the equal values filled the entry.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from typing import Any, Callable, Iterable, Sequence
+
+from repro.common import serde
 
 __all__ = [
     "node_score",
@@ -43,17 +53,39 @@ __all__ = [
 
 _SEPARATOR = b"\x00hrw\x00"
 
+#: Entries in the encoded-bytes memo: every ring member plus the hottest
+#: keys fit; a stream of one-off keys only churns the tail.
+_MEMO_SIZE = 4096
 
-def _key_bytes(value: Any) -> bytes:
+
+def _encode(value: Any) -> bytes:
     """Equality-canonical bytes for an arbitrary routing key."""
-    from repro.common import serde
-
     try:
         return serde.encode_key(value)
     except Exception:
         # Unencodable keys still deserve a deterministic route: fall back
         # to the repr, which is stable for any one value within a run.
         return repr(value).encode("utf-8", "backslashreplace")
+
+
+_memo = functools.lru_cache(maxsize=_MEMO_SIZE)(_encode)
+
+
+def _key_bytes(value: Any) -> bytes:
+    """:func:`_encode` through the memo; unhashable values skip it."""
+    try:
+        return _memo(value)
+    except TypeError:
+        return _encode(value)
+
+
+def _score(data: bytes, weight: float) -> float:
+    if weight <= 0.0:
+        return float("-inf")
+    digest = hashlib.blake2b(data, digest_size=8).digest()
+    # (0, 1) exclusive on both ends: +1 over 2^64 + 2 never hits 0 or 1.
+    u = (int.from_bytes(digest, "big") + 1) / (2**64 + 2)
+    return -weight / math.log(u)
 
 
 def node_score(key: Any, node: Any, weight: float = 1.0) -> float:
@@ -63,14 +95,28 @@ def node_score(key: Any, node: Any, weight: float = 1.0) -> float:
     uniform (0, 1) draw from the pair hash, so expected ownership is
     proportional to weight.
     """
-    if weight <= 0.0:
-        return float("-inf")
-    digest = hashlib.blake2b(
-        _key_bytes(node) + _SEPARATOR + _key_bytes(key), digest_size=8
-    ).digest()
-    # (0, 1) exclusive on both ends: +1 over 2^64 + 2 never hits 0 or 1.
-    u = (int.from_bytes(digest, "big") + 1) / (2**64 + 2)
-    return -weight / math.log(u)
+    return _score(_key_bytes(node) + _SEPARATOR + _key_bytes(key), weight)
+
+
+def _scored(
+    key: Any,
+    nodes: Sequence[Any],
+    weight_of: Callable[[Any], float] | None,
+) -> list[tuple[float, int, Any]]:
+    """``(score, -position, node)`` for every node, encoding ``key`` once.
+
+    The position breaks ties (possible only for duplicate nodes), so the
+    order is total and no two nodes are ever compared.
+    """
+    suffix = _SEPARATOR + _key_bytes(key)
+    return [
+        (
+            _score(_key_bytes(node) + suffix, weight_of(node) if weight_of else 1.0),
+            -i,
+            node,
+        )
+        for i, node in enumerate(nodes)
+    ]
 
 
 def rank(
@@ -81,13 +127,9 @@ def rank(
     """All nodes ordered by descending rendezvous score for ``key``.
 
     The first element is the sticky choice; the rest form the
-    deterministic spill-over order.  Ties (possible only for duplicate
-    nodes) break by position, keeping the order total and reproducible.
+    deterministic spill-over order.
     """
-    scored = [
-        (node_score(key, node, weight_of(node) if weight_of else 1.0), -i, node)
-        for i, node in enumerate(nodes)
-    ]
+    scored = _scored(key, nodes, weight_of)
     scored.sort(reverse=True)
     return [node for __, __, node in scored]
 
@@ -100,13 +142,7 @@ def pick(
     """The sticky choice: the highest-scoring node for ``key``."""
     if not nodes:
         raise ValueError("cannot pick from an empty node set")
-    best = None
-    best_score = (float("-inf"), 1)
-    for i, node in enumerate(nodes):
-        score = (node_score(key, node, weight_of(node) if weight_of else 1.0), -i)
-        if best is None or score > best_score:
-            best, best_score = node, score
-    return best
+    return max(_scored(key, nodes, weight_of))[2]
 
 
 def pick_subset(

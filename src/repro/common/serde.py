@@ -123,7 +123,8 @@ def canonical_key(value: Any) -> Any:
 
     * numbers — bool/int/float, and exotic ``numbers.Number`` types
       (Decimal, Fraction, zero-imaginary complex) should one ever appear —
-      coerce through one float representation ``["n", float(v)]``; integers
+      coerce through one float representation ``["n", float(v)]``, with
+      ``-0.0`` folded into ``0.0`` because ``0 == -0.0``; integers
       beyond float range fall back to an exact ``["i", int(v)]`` encoding
       (no float can equal such an integer, so the branches never disagree
       about equal values);
@@ -151,7 +152,8 @@ def canonical_key(value: Any) -> Any:
             value, numbers.Real
         ):
             if value.imag != 0:
-                return ["c", float(value.real), float(value.imag)]
+                # ``+ 0.0`` folds -0.0 into 0.0 (``0 == -0.0``).
+                return ["c", float(value.real) + 0.0, float(value.imag) + 0.0]
             value = value.real
         try:
             coerced = float(value)
@@ -159,7 +161,7 @@ def canonical_key(value: Any) -> Any:
             coerced = None  # beyond float range, or NaN-like Decimal
         if coerced is not None:
             if math.isfinite(coerced):
-                return ["n", coerced]
+                return ["n", coerced + 0.0]
             # Coercion can *round* to ±inf rather than raise (Decimal
             # converts via str, so float(Decimal("1e400")) == inf while
             # float(10**400) raises).  Only keep an infinite float for a

@@ -290,7 +290,9 @@ class PinotBroker:
         state = self.controller.table(table)
         query = PinotQuery(table=table, filters=list(filters))
         try:
-            subqueries, __ = self._route(state, query)
+            # Every live replica of a segment reports the same num_docs
+            # and zone maps, so any one of them answers: no replica ranking.
+            subqueries, __ = self._route(state, query, first_live=True)
         except PinotError:
             docs = sum(
                 pstate.consuming.num_docs
@@ -339,10 +341,13 @@ class PinotBroker:
     # -- routing -------------------------------------------------------------
 
     def _route(
-        self, state: TableState, query: PinotQuery
+        self, state: TableState, query: PinotQuery, first_live: bool = False
     ) -> tuple[list[tuple[PinotServer, list[str], int | None]], int]:
         """Subqueries as (server, segments, upsert_partition?) plus the
-        number of segments pruned from the scatter.
+        number of segments pruned from the scatter.  ``first_live`` sends
+        each sealed or offline segment to its first live host instead of
+        the routing policy's pick (for estimates, which only read
+        segment metadata).
 
         Pruning preserves subquery grouping and ordering exactly: the
         server order is derived from the *full* segment list, and pruned
@@ -355,6 +360,7 @@ class PinotBroker:
         filters = query.filters if self.enable_pruning else []
         allowed_partitions = self._partition_candidates(state, filters)
         upsert = state.config.upsert_enabled
+        pick_host = (lambda t, s, hosts: hosts[0]) if first_live else self._pick_host
         # One name->server map per route call, instead of an O(servers)
         # linear scan per emitted subquery.
         by_name = {s.name: s for s in self.controller.servers}
@@ -393,7 +399,7 @@ class PinotBroker:
                 ]
                 if not hosts:
                     raise PinotError(f"no live replica hosts segment {name!r}")
-                host = self._pick_host(query.table, name, hosts)
+                host = pick_host(query.table, name, hosts)
                 # Establish the server's slot even when the segment prunes,
                 # so subquery order never depends on pruning decisions.
                 names = per_server.setdefault(host.name, [])
@@ -413,7 +419,7 @@ class PinotBroker:
             live = [s for s in hosts if s.alive]
             if not live:
                 raise PinotError(f"no live host for offline segment {segment_name!r}")
-            host = self._pick_host(query.table, segment_name, live)
+            host = pick_host(query.table, segment_name, live)
             segment = host.segments.get(segment_name)
             if (
                 allowed_partitions is not None

@@ -87,3 +87,26 @@ class TestCompactness:
 
         value = {"city": "san_francisco", "count": 12345, "ratio": 0.25}
         assert len(serde.encode(value)) < len(json.dumps(value).encode())
+
+
+class TestEncodeKey:
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (5, 5.0),
+            (1, True),
+            (0, -0.0),
+            (0.0, -0.0),
+            (False, -0.0),
+            (("t", 0), ("t", -0.0)),
+            (complex(-0.0, 1.0), complex(0.0, 1.0)),
+        ],
+    )
+    def test_equal_values_share_bytes(self, a, b):
+        assert a == b
+        assert serde.encode_key(a) == serde.encode_key(b)
+
+    def test_negative_zero_survives_plain_encode(self):
+        # Only the equality-canonical key folds the sign; the value codec
+        # still round-trips -0.0 bit for bit.
+        assert str(serde.decode(serde.encode(-0.0))) == "-0.0"

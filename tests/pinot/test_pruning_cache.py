@@ -186,6 +186,11 @@ class TestBloomFilter:
         assert big.might_contain(10**400)
         assert big.might_contain(Decimal(10) ** 400)
 
+    def test_negative_zero_matches_zero(self):
+        # 0 == -0.0: a segment holding 0 must survive ``col = -0.0``.
+        assert BloomFilter.build([0, 7, 9]).might_contain(-0.0)
+        assert BloomFilter.build([-0.0]).might_contain(0)
+
     def test_unencodable_values_make_filter_opaque(self):
         bloom = BloomFilter.build(["a", object()])
         assert bloom.opaque
@@ -320,6 +325,42 @@ class TestBrokerPruning:
         )
         rows = assert_same_rows(pruned_broker, plain_broker, in_query)
         assert rows[0]["count(*)"] == 100
+
+    def test_partition_pruning_keeps_zero_for_negative_zero(self):
+        # Rows keyed with city_id 0; the literal -0.0 == 0 must reach the
+        # partition 0 hashed to (3 partitions: before negative zero was
+        # folded, -0.0 hashed elsewhere and the match was pruned away).
+        clock, kafka, controller, state = build_stack(
+            partitions=3,
+            schema=NUMERIC_SCHEMA,
+            partition_column="city_id",
+            bloom=("city_id",),
+        )
+        producer = Producer(kafka, "svc", clock=clock)
+        for i in range(300):
+            clock.advance(1.0)
+            row = {
+                "city_id": i % 6,
+                "ride_id": f"ride-{i:06d}",
+                "amount": float(i % 100),
+                "ts": clock.now(),
+            }
+            producer.send("rides", row, key=row["city_id"])
+        producer.flush()
+        state.ingestion.run_until_caught_up()
+        assert hash_partitioner(-0.0, 3) == hash_partitioner(0, 3)
+        pruned_broker = PinotBroker(controller, clock=clock, enable_cache=False)
+        plain_broker = PinotBroker(
+            controller, clock=clock, enable_pruning=False, enable_cache=False
+        )
+        query = PinotQuery(
+            "rides",
+            aggregations=[Aggregation("COUNT")],
+            filters=[Filter("city_id", "=", -0.0)],
+        )
+        rows = assert_same_rows(pruned_broker, plain_broker, query)
+        assert rows[0]["count(*)"] == 50
+        assert pruned_broker.execute(query).segments_pruned > 0
 
     def test_consuming_segments_never_pruned(self):
         clock, kafka, controller, state = build_stack(threshold=10_000)

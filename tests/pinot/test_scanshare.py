@@ -125,6 +125,77 @@ class TestStickyScatterEquivalence:
         assert routes[0] == routes[1] == routes[2]
 
 
+def routed_docs(broker, state, filters):
+    """docs over the segments a real query routes to: the reference the
+    estimate must match without ranking replicas."""
+    query = PinotQuery(table="rides", filters=list(filters))
+    subqueries, __ = broker._route(state, query)
+    return sum(
+        server.segments[name].num_docs
+        for server, names, __ in subqueries
+        for name in names
+    )
+
+
+ESTIMATE_FILTERS = [
+    (),
+    (Filter("ts", "BETWEEN", low=20.0, high=150.0),),  # zone maps prune
+    (Filter("city", "=", "city-2"),),  # partition pruning
+]
+
+
+class TestEstimateRows:
+    def test_policy_independent_and_equal_to_routed_docs(self):
+        __, controller, state = build_stack(records=600)
+        sticky = PinotBroker(controller, sticky=True)
+        scatter = PinotBroker(controller, sticky=False)
+        total = routed_docs(sticky, state, ())
+        assert total == 600
+        for filters in ESTIMATE_FILTERS:
+            expected = (routed_docs(sticky, state, filters), not filters)
+            assert sticky.estimate_rows("rides", filters) == expected
+            assert scatter.estimate_rows("rides", filters) == expected
+        pruned, exact = sticky.estimate_rows("rides", ESTIMATE_FILTERS[1])
+        assert 0 < pruned < total and not exact
+
+    def test_replica_death_keeps_estimate_policy_independent(self):
+        __, controller, state = build_stack(records=600)
+        controller.servers[1].alive = False
+        sticky = PinotBroker(controller, sticky=True)
+        scatter = PinotBroker(controller, sticky=False)
+        for filters in ESTIMATE_FILTERS:
+            expected = (routed_docs(scatter, state, filters), not filters)
+            assert sticky.estimate_rows("rides", filters) == expected
+            assert scatter.estimate_rows("rides", filters) == expected
+
+    def test_estimate_does_not_advance_scatter_rotation(self):
+        __, controller, __ = build_stack()
+        broker = PinotBroker(controller, enable_cache=False, sticky=False)
+        fresh = PinotBroker(controller, enable_cache=False, sticky=False)
+        for filters in ESTIMATE_FILTERS:
+            broker.estimate_rows("rides", filters)
+        assert broker._route_seq == 0
+        a = broker.execute(QUERIES[0])
+        b = fresh.execute(QUERIES[0])
+        assert serde.encode(a.rows) == serde.encode(b.rows)
+        assert a.servers_queried == b.servers_queried
+
+    def test_no_live_replica_falls_back_to_consuming_docs(self):
+        __, controller, state = build_stack(records=600)
+        assert state.ingestion.partitions[0].sealed_segments
+        for server in [state.owners[0]] + state.replicas[0]:
+            server.alive = False  # partition 0's sealed segments are unhosted
+        consuming = sum(
+            pstate.consuming.num_docs
+            for pstate in state.ingestion.partitions.values()
+        )
+        for sticky in (True, False):
+            broker = PinotBroker(controller, sticky=sticky)
+            # Filters that cannot rule partition 0 out.
+            for filters in ESTIMATE_FILTERS[:2]:
+                assert broker.estimate_rows("rides", filters) == (consuming, False)
+
+
 class TestScanShare:
     def test_repeat_predicate_is_served_from_cache(self):
         __, controller, __ = build_stack()
